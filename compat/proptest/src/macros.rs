@@ -1,8 +1,9 @@
 //! The `proptest!` / `prop_assert*` / `prop_assume!` / `prop_oneof!`
 //! macro family.
 
-/// Defines property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over many generated inputs.
+/// Defines property tests. Each `#[test] fn name(pat in strategy, ...)
+/// { body }` becomes a test running the body over many generated
+/// inputs.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -18,7 +19,10 @@ macro_rules! proptest {
 macro_rules! __proptest_tests {
     (($config:expr)) => {};
     (($config:expr) $(#[$meta:meta])* fn $name:ident($($params:tt)*) $body:block $($rest:tt)*) => {
-        #[test]
+        // Attributes pass through unchanged: as with upstream proptest,
+        // each case function carries its own `#[test]`. Adding another
+        // here would register every test twice, and the two copies run
+        // concurrently.
         $(#[$meta])*
         fn $name() {
             $crate::__proptest_case!(($config) (stringify!($name)) [] [] ($($params)*) $body);

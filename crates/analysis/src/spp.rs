@@ -120,10 +120,9 @@ pub fn response_details(
 
 /// Analyses the task at `index` within a complete SPP task set.
 ///
-/// The per-entity entry point of the parallel engine: every task of a
-/// resource can be analysed independently given the full (shared) task
-/// set, so workers call this concurrently with `tasks` behind an `Arc`
-/// and the activation models carrying shared curve caches.
+/// The per-entity entry point of the system engine: every task of a
+/// resource is analysed independently against the full task set, so a
+/// failing task does not keep the others from running.
 ///
 /// # Panics
 ///
@@ -208,7 +207,7 @@ mod tests {
     #[test]
     fn carried_busy_period() {
         // C = (26, 62), P = (70, 100): classic multi-frame busy period.
-        let tasks = vec![
+        let tasks = [
             periodic_task("hi", 26, 1, 70),
             periodic_task("lo", 62, 2, 100),
         ];
@@ -246,8 +245,13 @@ mod tests {
     fn blocking_adds_directly() {
         let hi = periodic_task("hi", 10, 1, 100);
         let lo = periodic_task("lo", 10, 2, 100);
-        let without =
-            response_time(&lo, &[hi.clone()], Time::ZERO, &AnalysisConfig::default()).unwrap();
+        let without = response_time(
+            &lo,
+            std::slice::from_ref(&hi),
+            Time::ZERO,
+            &AnalysisConfig::default(),
+        )
+        .unwrap();
         let with = response_time(&lo, &[hi], Time::new(5), &AnalysisConfig::default()).unwrap();
         assert_eq!(with.response.r_plus, without.response.r_plus + Time::new(5));
     }
@@ -283,7 +287,7 @@ mod tests {
     #[test]
     fn details_expose_per_activation_windows() {
         // C = (26, 62), P = (70, 100): the multi-activation busy period.
-        let tasks = vec![
+        let tasks = [
             periodic_task("hi", 26, 1, 70),
             periodic_task("lo", 62, 2, 100),
         ];

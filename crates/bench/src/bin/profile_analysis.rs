@@ -32,12 +32,11 @@ use hem_bench::explore::{run_explore, ExploreReport};
 use hem_bench::incremental::{replicated_spec, run_chain_cold, run_chain_warm, scenario_chain};
 use hem_bench::obs::{run_obs_overhead, ObsReport};
 use hem_bench::paper_system::{simulation, spec, PaperParams};
-use hem_bench::parallel::{env_threads, parallel_map};
 use hem_bench::serving::{run_serving, ServingParams, ServingReport};
 use hem_obs::{json, Counter, MemoryRecorder, MetricsSnapshot};
 use hem_sim::fault::{Fault, FaultPlan, FaultTarget};
 use hem_sim::system::try_run_recorded;
-use hem_system::{analyze_robust, AnalysisMode, SystemConfig};
+use hem_system::{analyze_robust, parallel_map, AnalysisMode, SystemConfig};
 use hem_time::Time;
 
 /// One profiled phase: wall time plus everything the recorder saw.
@@ -119,10 +118,11 @@ fn run_simulation(params: &PaperParams) -> Phase {
 /// analysed once sequentially and once fanned over `HEM_THREADS`
 /// scoped threads via [`parallel_map`].
 ///
-/// On multi-core machines this is where analysis parallelism pays off —
-/// a sweep of small systems saturates cores with zero coordination —
-/// and because `parallel_map` is order-deterministic the two passes
-/// must produce identical response times (checked here).
+/// The engine itself is sequential; a sweep of independent systems is
+/// the axis where threads pay off — it saturates cores with zero
+/// coordination — and because `parallel_map` is order-deterministic
+/// the two passes must produce identical response times (checked
+/// here).
 struct Sweep {
     scenarios: usize,
     threads: usize,
@@ -152,7 +152,7 @@ fn run_sweep() -> Sweep {
         }
     }
     let analyse = |params: PaperParams| {
-        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+        let config = SystemConfig::new(AnalysisMode::Hierarchical);
         let robust = analyze_robust(&spec(&params), &config).unwrap_or_else(|e| {
             eprintln!("sweep analysis failed ({params:?}): {e}");
             std::process::exit(1);
@@ -163,7 +163,7 @@ fn run_sweep() -> Sweep {
             .map(|(name, r)| (name.to_owned(), r.response))
             .collect::<Vec<_>>()
     };
-    let threads = env_threads();
+    let threads = SystemConfig::new(AnalysisMode::Hierarchical).resolved_threads();
     let n = scenarios.len();
 
     let started = Instant::now();
@@ -188,10 +188,8 @@ fn run_sweep() -> Sweep {
 
 /// The warm-start probe: a chained mutation walk over a replicated
 /// Fig. 2 grid (see [`hem_bench::incremental`]), analysed once from
-/// scratch per scenario and once chaining snapshots. Both passes run
-/// sequentially (one analysis thread) so the reported speedup isolates
-/// incremental reuse from engine parallelism, and every deterministic
-/// field below is identical on every CI leg.
+/// scratch per scenario and once chaining snapshots. Every
+/// deterministic field below is identical on every CI leg.
 struct Incremental {
     replicas: usize,
     scenarios: usize,
@@ -216,7 +214,7 @@ fn run_incremental() -> Incremental {
     let replicas = 8;
     let steps = 16;
     let specs = scenario_chain(replicas, steps, &PaperParams::default());
-    let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+    let config = SystemConfig::new(AnalysisMode::Hierarchical);
     let cold = run_chain_cold(&specs, &config);
     let warm = run_chain_warm(&specs, &config);
     if cold.response_times != warm.response_times {
@@ -299,7 +297,6 @@ fn analytic_pass(
 ) -> (f64, Vec<ResponseTimes>, u64, u64) {
     let (recorder, handle) = MemoryRecorder::handle();
     let config = SystemConfig::new(AnalysisMode::Hierarchical)
-        .with_threads(1)
         .with_recorder(handle)
         .with_analytic(Some(analytic));
     let started = Instant::now();
@@ -386,7 +383,7 @@ fn run_analytic() -> Analytic {
 /// `--cross` diff; `pruned_pct` is gated against an absolute ≥50%
 /// floor (see `docs/EXPLORATION.md`).
 fn run_explore_phase() -> ExploreReport {
-    run_explore(env_threads())
+    run_explore(SystemConfig::new(AnalysisMode::Hierarchical).resolved_threads())
 }
 
 /// The CI-scale serving benchmark (see [`hem_bench::serving`]): a

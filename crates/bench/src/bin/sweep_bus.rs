@@ -17,15 +17,14 @@
 
 use hem_bench::incremental::run_chain_warm;
 use hem_bench::paper_system::{spec, table3, PaperParams, Table3Row};
-use hem_bench::parallel::{env_threads, parallel_map};
-use hem_system::{AnalysisMode, SystemConfig, SystemSpec};
+use hem_system::{parallel_map, AnalysisMode, SystemConfig, SystemSpec};
 
 /// Chains `specs` through the warm-start engine in both modes and
 /// verifies each scenario's task WCRTs against the cold table rows.
 /// Exits nonzero on any mismatch.
 fn verify_warm(specs: &[SystemSpec], rows: &[(Vec<Table3Row>, usize)]) {
     for mode in [AnalysisMode::Flat, AnalysisMode::Hierarchical] {
-        let config = SystemConfig::new(mode).with_threads(1);
+        let config = SystemConfig::new(mode);
         let run = run_chain_warm(specs, &config);
         for (table_rows, index) in rows {
             let rt = &run.response_times[*index];
@@ -77,7 +76,8 @@ fn main() {
         "T3 HEM",
         "red%"
     );
-    let results = parallel_map(scales(), env_threads(), |cpu_scale| {
+    let threads = SystemConfig::new(AnalysisMode::Hierarchical).resolved_threads();
+    let results = parallel_map(scales(), threads, |cpu_scale| {
         let params = PaperParams {
             cpu_scale,
             ..PaperParams::default()

@@ -16,8 +16,7 @@
 
 use hem_bench::incremental::run_chain_warm;
 use hem_bench::paper_system::{spec, table3, PaperParams};
-use hem_bench::parallel::{env_threads, parallel_map};
-use hem_system::{AnalysisMode, SystemConfig, SystemSpec};
+use hem_system::{parallel_map, AnalysisMode, SystemConfig, SystemSpec};
 
 /// Chains `specs` through the warm-start engine in both modes and
 /// verifies each scenario's task WCRTs against the cold table rows.
@@ -27,7 +26,7 @@ fn verify_warm(specs: &[SystemSpec], rows: &[(Vec<hem_bench::paper_system::Table
         (AnalysisMode::Flat, 0usize),
         (AnalysisMode::Hierarchical, 1),
     ] {
-        let config = SystemConfig::new(mode).with_threads(1);
+        let config = SystemConfig::new(mode);
         let run = run_chain_warm(specs, &config);
         for (table_rows, index) in rows {
             let rt = &run.response_times[*index];
@@ -72,7 +71,8 @@ fn main() {
         "red%"
     );
     let periods: Vec<i64> = (300..=1200).step_by(100).collect();
-    let results = parallel_map(periods, env_threads(), |s3_period| {
+    let threads = SystemConfig::new(AnalysisMode::Hierarchical).resolved_threads();
+    let results = parallel_map(periods, threads, |s3_period| {
         let params = PaperParams {
             s3_period,
             ..PaperParams::default()

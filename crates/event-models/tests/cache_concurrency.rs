@@ -1,8 +1,8 @@
-//! Concurrency contract of the lock-striped [`CachedModel`].
+//! Concurrency contract of the `Sync` [`CachedModel`].
 //!
-//! The parallel engine shares one cache per derived model across all
-//! analysis workers, and its counter determinism rests on two
-//! properties exercised here under real thread contention:
+//! A cache may be queried from several threads at once (analyses fanned
+//! out by `parallel_map` can share models), and counter determinism
+//! rests on two properties exercised here under real thread contention:
 //!
 //! * **compute-once** — concurrent queries for the same key perform
 //!   exactly one inner evaluation and all observe the same value;
@@ -120,7 +120,7 @@ fn counter_totals_are_schedule_independent() {
 #[test]
 fn same_key_burst_evaluates_inner_exactly_once() {
     // All threads released simultaneously onto the *same* key: the
-    // stripe lock must serialise them into one inner computation.
+    // cache lock must serialise them into one inner computation.
     for _ in 0..32 {
         let inner = Arc::new(CountingModel::default());
         let cache = Arc::new(CachedModel::new(inner.clone() as _));
@@ -168,4 +168,24 @@ fn flush_from_one_thread_sees_all_threads_counts() {
         recorder.snapshot().counter(Counter::CurveEvaluations),
         threads as u64 * 64
     );
+}
+
+#[test]
+fn nested_caches_do_not_deadlock_and_stay_compute_once() {
+    // A cache over a cache: a miss in the outer one evaluates the
+    // inner one while holding the outer lock. Locks are only ever
+    // taken outer-then-inner (the model DAG's order), so hammering
+    // both layers at once from many threads must neither deadlock nor
+    // evaluate the counting model more than once per (function, key).
+    let counting = Arc::new(CountingModel::default());
+    let inner = Arc::new(CachedModel::new(counting.clone() as _));
+    let outer = Arc::new(CachedModel::new(inner.clone() as _));
+    let keys: Vec<u64> = (0..256).collect();
+    std::thread::scope(|scope| {
+        scope.spawn(|| hammer(&outer, 4, &keys, 2));
+        scope.spawn(|| hammer(&inner, 4, &keys, 2));
+    });
+    assert_eq!(counting.calls(), 2 * keys.len() as u64);
+    assert_eq!(outer.cached_entries(), 2 * keys.len());
+    assert_eq!(inner.cached_entries(), 2 * keys.len());
 }

@@ -315,9 +315,8 @@ impl HistogramData {
     /// Folds another histogram into this one.
     ///
     /// Bucket counts, totals, and extrema combine commutatively, so
-    /// merging per-worker histograms yields the same data regardless of
-    /// worker scheduling — the property the parallel engine's
-    /// determinism guarantee rests on.
+    /// merging histograms recorded separately yields the same data as
+    /// recording every sample into one.
     pub fn merge(&mut self, other: &HistogramData) {
         if other.count == 0 {
             return;
@@ -645,11 +644,12 @@ mod tests {
         // Estimates never escape the observed range, even for q=1.0.
         assert!(h.percentile(1.0) <= h.max);
         assert!(h.percentile(0.01) >= h.min);
-        // Large samples do not overflow the bucket lower-bound shift.
+        // Large samples do not overflow the bucket lower-bound shift:
+        // u64::MAX lands in the top bucket [2^63, 2^64).
         let mut big = HistogramData::default();
         big.record(0);
         big.record(u64::MAX);
-        assert!(big.p99() <= u64::MAX);
+        assert_eq!(big.p99(), 1 << 63);
     }
 
     #[test]

@@ -10,20 +10,17 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hem_analysis::{
-    spnp, spp, AnalysisConfig, AnalysisError, AnalysisTask, ResponseTime, TaskResult,
-};
+use hem_analysis::{spnp, spp, AnalysisError, AnalysisTask, ResponseTime, TaskResult};
 use hem_autosar_com::{ComFrame, Signal};
 use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
 use hem_event_models::ops::OutputModel;
 use hem_event_models::{approx, CachedModel, EventModelExt, ModelRef};
-use hem_obs::{BufferedRecorder, ConvergenceTrace, Counter, IterationSnapshot, RtBound};
+use hem_obs::{ConvergenceTrace, Counter, IterationSnapshot, RtBound};
 use hem_time::Time;
 
 use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
 use crate::graph::{Level, PropagationLevels};
-use crate::pool::WorkerPool;
 use crate::result::{signal_key, SystemConfig, SystemResults};
 use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec, TaskSpec};
 use crate::SystemError;
@@ -267,26 +264,23 @@ struct IterationAccum {
     replayed: u64,
 }
 
-/// One global iteration's local analyses, leveled and parallel.
+/// One global iteration's local analyses, level by level.
 ///
-/// Each level of the propagation graph first resolves sequentially
-/// (activation models, packings, shared curve caches — always on the
-/// calling thread, in spec order), then analyses every entity of the
-/// level as an independent job on the pool. Results and recorder
-/// signals are merged in canonical submission order, so the outcome is
-/// bit-for-bit identical for every thread count.
+/// Each level of the propagation graph first resolves (activation
+/// models, packings, shared curve caches — in spec order), then
+/// analyses every entity of the level in canonical order, then merges
+/// the level's results so the next level can consume them.
 ///
-/// With a warm plan, resources outside the damage cone skip Phase 2
-/// (their busy-window jobs) and stage the snapshot's recorded results
-/// instead; Phase 1 still runs for them, so resolution side effects
-/// (packings, activation models, `packing_ops`) are identical to a
-/// from-scratch run.
+/// With a warm plan, resources outside the damage cone skip their
+/// busy windows and stage the snapshot's recorded results instead;
+/// resolution still runs for them, so its side effects (packings,
+/// activation models, `packing_ops`) are identical to a from-scratch
+/// run.
 fn run_iteration(
     resolver: &mut Resolver<'_>,
     spec: &SystemSpec,
     config: &SystemConfig,
     levels: &PropagationLevels,
-    pool: &WorkerPool,
     warm: Option<&WarmIteration<'_>>,
 ) -> Result<IterationAccum, IterationError> {
     let mut acc = IterationAccum::default();
@@ -300,14 +294,13 @@ fn run_iteration(
         if config.local.budget.exhausted() {
             return Err(IterationError::Budget);
         }
-        run_level(resolver, config, level, pool, warm, &mut acc)?;
+        run_level(resolver, config, level, warm, &mut acc)?;
     }
 
     // Resources in a resource-level dependency cycle: the lazy
-    // sequential resolver reproduces exactly what the purely sequential
-    // engine would report (usually a `DependencyCycle` naming the same
-    // entity). Warm starts refuse cyclic systems, so this path never
-    // replays.
+    // resolver evaluates them on demand, which usually ends in a
+    // `DependencyCycle` error. Warm starts refuse cyclic systems, so
+    // this path never replays.
     for frame in &spec.frames {
         if levels.cyclic_buses.contains(&frame.bus) {
             let result = resolver
@@ -329,44 +322,21 @@ fn run_iteration(
     Ok(acc)
 }
 
-/// A per-entity busy-window job submitted to the pool.
-type EntityJob = Box<dyn FnOnce() -> Result<TaskResult, AnalysisError> + Send + 'static>;
-
-/// The local analysis configuration of one job: when the recorder is
-/// enabled, signals go to a private [`BufferedRecorder`] (registered in
-/// `buffers`, drained in job order after the batch) so the recorder sees
-/// the same signal sequence regardless of execution interleaving.
-fn job_local(
-    config: &SystemConfig,
-    buffers: &mut Vec<Option<Arc<BufferedRecorder>>>,
-) -> AnalysisConfig {
-    let mut local = config.local.clone();
-    if local.recorder.enabled() {
-        let (buffer, handle) = BufferedRecorder::handle();
-        buffers.push(Some(buffer));
-        local.recorder = handle;
-    } else {
-        buffers.push(None);
-    }
-    local
-}
-
-/// Analyses one dependency-free level: sequential resolution, parallel
-/// per-entity busy windows, deterministic merge.
+/// Analyses one dependency-free level: resolution, busy windows in
+/// canonical order, merge.
 fn run_level(
     resolver: &mut Resolver<'_>,
     config: &SystemConfig,
     level: &Level,
-    pool: &WorkerPool,
     warm: Option<&WarmIteration<'_>>,
     acc: &mut IterationAccum,
 ) -> Result<(), IterationError> {
     let is_clean =
         |kind: &str, name: &str| warm.is_some_and(|w| w.clean.contains(&format!("{kind}:{name}")));
 
-    // Phase 1 — sequential resolution. Clean resources resolve too:
-    // their packings, activation models, and forked curve caches feed
-    // dirty downstream entities, and the resolution side effects
+    // Phase 1 — resolution. Clean resources resolve too: their
+    // packings, activation models, and forked curve caches feed dirty
+    // downstream entities, and the resolution side effects
     // (`packing_ops`) stay identical to a from-scratch run.
     let mut bus_sets = Vec::with_capacity(level.buses.len());
     for bus in &level.buses {
@@ -374,67 +344,34 @@ fn run_level(
             .lower_bus(bus)
             .map_err(|e| IterationError::classify(e, "frame"))?;
         let clean = is_clean("bus", bus);
-        bus_sets.push((bus.clone(), names, Arc::new(tasks), clean));
+        bus_sets.push((bus.clone(), names, tasks, clean));
     }
     let mut cpu_sets = Vec::with_capacity(level.cpus.len());
     for cpu in &level.cpus {
         let tasks = resolver
             .lower_cpu(cpu)
             .map_err(|e| IterationError::classify(e, "task"))?;
-        cpu_sets.push((Arc::new(tasks), is_clean("cpu", cpu)));
+        cpu_sets.push((tasks, is_clean("cpu", cpu)));
     }
 
-    // Phase 2 — one busy-window job per entity, in canonical order:
-    // every frame of every bus, then every task of every CPU. Entities
-    // on clean resources submit no job — their results replay in
-    // Phase 3.
-    let mut jobs: Vec<EntityJob> = Vec::new();
-    let mut buffers: Vec<Option<Arc<BufferedRecorder>>> = Vec::new();
-    let mut kinds: Vec<&'static str> = Vec::new();
-    for (_, names, tasks, clean) in &bus_sets {
-        if *clean {
-            continue;
-        }
-        for i in 0..names.len() {
-            let local = job_local(config, &mut buffers);
-            let tasks = tasks.clone();
-            kinds.push("frame");
-            jobs.push(Box::new(move || spnp::analyze_one(&tasks, i, &local)));
-        }
-    }
-    for (tasks, clean) in &cpu_sets {
-        if *clean {
-            continue;
-        }
-        for i in 0..tasks.len() {
-            let local = job_local(config, &mut buffers);
-            let tasks = tasks.clone();
-            kinds.push("task");
-            jobs.push(Box::new(move || spp::analyze_one(&tasks, i, &local)));
-        }
-    }
-    let outcomes = pool.run_batch(jobs);
-
-    // Phase 3 — deterministic merge: every job of a started level has
-    // completed; recorder signals replay in job order, and the
-    // lowest-index failure (if any) is the one reported, independent of
-    // which worker hit it first. Clean resources stage the snapshot's
-    // recorded results in the same canonical positions.
-    for buffer in buffers.iter().flatten() {
-        buffer.drain_into(&config.local.recorder);
-    }
-    let mut results = outcomes.into_iter().zip(kinds);
+    // Phase 2 — one busy window per entity, in canonical order: every
+    // frame of every bus, then every task of every CPU. A failure does
+    // not cut the level short: every entity still runs, so a failing
+    // run's counters cover the whole level, and the first failure in
+    // canonical order is the one reported. Clean
+    // resources stage the snapshot's recorded results in the same
+    // positions instead of running.
     let mut first_err: Option<IterationError> = None;
-    let record_err = |e: AnalysisError, kind: &'static str, slot: &mut Option<IterationError>| {
-        if slot.is_none() {
-            *slot = Some(IterationError::classify(SystemError::Analysis(e), kind));
+    let mut record_err = |e: AnalysisError, kind: &'static str| {
+        if first_err.is_none() {
+            first_err = Some(IterationError::classify(SystemError::Analysis(e), kind));
         }
     };
     let mut hits = 0u64;
     let mut staged_buses: Vec<(String, BTreeMap<String, TaskResult>)> = Vec::new();
-    for (bus, names, _, clean) in bus_sets {
+    for (bus, names, tasks, clean) in bus_sets {
         let mut map = BTreeMap::new();
-        for name in names {
+        for (i, name) in names.into_iter().enumerate() {
             if clean {
                 let replay = warm.expect("clean flags imply a warm plan");
                 let result = replay
@@ -445,11 +382,11 @@ fn run_level(
                 hits += 1;
                 continue;
             }
-            match results.next().expect("one outcome per frame job") {
-                (Ok(result), _) => {
+            match spnp::analyze_one(&tasks, i, &config.local) {
+                Ok(result) => {
                     map.insert(name, result);
                 }
-                (Err(e), kind) => record_err(e, kind, &mut first_err),
+                Err(e) => record_err(e, "frame"),
             }
         }
         staged_buses.push((bus, map));
@@ -458,7 +395,7 @@ fn run_level(
     for (tasks, clean) in &cpu_sets {
         if *clean {
             let replay = warm.expect("clean flags imply a warm plan");
-            for task in tasks.iter() {
+            for task in tasks {
                 let result = replay
                     .tasks
                     .get(&task.name)
@@ -468,13 +405,16 @@ fn run_level(
             }
             continue;
         }
-        for _ in 0..tasks.len() {
-            match results.next().expect("one outcome per task job") {
-                (Ok(result), _) => staged_tasks.push(result),
-                (Err(e), kind) => record_err(e, kind, &mut first_err),
+        for i in 0..tasks.len() {
+            match spp::analyze_one(tasks, i, &config.local) {
+                Ok(result) => staged_tasks.push(result),
+                Err(e) => record_err(e, "task"),
             }
         }
     }
+
+    // Phase 3 — merge: the level's results become visible to the next
+    // level only once every entity of this one has run.
     if hits > 0 {
         config.local.recorder.add(Counter::WarmStartHits, hits);
         acc.replayed += hits;
@@ -550,9 +490,8 @@ pub(crate) fn run_with(
 ) -> Result<(RunOutcome, Option<Capture>, u64), SystemError> {
     validate(spec)?;
     // The propagation graph is a property of the topology, not of the
-    // iteration state: level it once, spin the pool up once.
+    // iteration state: level it once.
     let levels = PropagationLevels::of(spec);
-    let pool = WorkerPool::new(config.resolved_threads());
     let started = Instant::now();
     let recorder = config.local.recorder.clone();
     let _run_span = recorder.span("analyze", "engine");
@@ -695,17 +634,11 @@ pub(crate) fn run_with(
             frames: r.frames,
             tasks: r.tasks,
         });
-        let iteration_outcome = run_iteration(
-            &mut resolver,
-            spec,
-            config,
-            &levels,
-            &pool,
-            warm_iter.as_ref(),
-        );
+        let iteration_outcome =
+            run_iteration(&mut resolver, spec, config, &levels, warm_iter.as_ref());
         // Flush the shared curve caches' buffered hit/miss counters at a
         // deterministic point, in cache-creation order — never from a
-        // worker or a late `Drop`.
+        // late `Drop`.
         resolver.flush_caches();
         drop(iter_span);
         let acc = match iteration_outcome {
@@ -965,8 +898,7 @@ impl<'a> Resolver<'a> {
     /// Swaps `model` for its closed-form analytic curve when an exact
     /// lift exists (see `docs/CURVES.md`). Results are bit-for-bit
     /// identical either way — the lift only changes how queries are
-    /// answered. Runs during sequential resolution, so the lift /
-    /// fallback tallies are deterministic at every thread count. The
+    /// answered. Runs during resolution, once per resolved model. The
     /// returned flag says whether the swap happened, so call sites can
     /// skip the memoizing cache wrapper: a curve already answers every
     /// query with an O(1) head lookup, and a hash-and-lock layer on top

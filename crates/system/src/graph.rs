@@ -11,12 +11,12 @@
 //!
 //! This module derives the resulting resource-level dependency graph
 //! from a [`SystemSpec`] — edges `bus → resource`, including the HEM
-//! pack/unpack edges — and levels it topologically. Resources within a
-//! level are mutually independent, which is what the parallel engine's
-//! per-level job batches rely on. Resources caught in a resource-level
-//! cycle are set aside: the engine analyses them through the lazy
-//! sequential resolver, which reports [`SystemError::DependencyCycle`]
-//! with the exact entity the purely sequential engine would name.
+//! pack/unpack edges — and levels it topologically. The levels are the
+//! engine's visit order: every resource of a level depends only on
+//! earlier levels, so a level resolves, runs its busy windows, and
+//! merges before the next one starts. Resources caught in a
+//! resource-level cycle are set aside: the engine analyses them through
+//! the lazy resolver, which reports [`SystemError::DependencyCycle`].
 //!
 //! [`SystemError::DependencyCycle`]: crate::SystemError::DependencyCycle
 

@@ -41,8 +41,8 @@ mod engine;
 mod error;
 pub mod explore;
 pub mod graph;
+mod parallel;
 pub mod path;
-mod pool;
 pub mod report;
 mod result;
 pub mod sensitivity;
@@ -56,6 +56,7 @@ pub use explore::{
     explore, CandidateConfig, CandidateReport, ExploreOutcome, ExploreProblem, Objective, Packing,
     PackingSpace, PeriodChoice, PeriodSite, PrioritySpace, Verdict,
 };
+pub use parallel::parallel_map;
 pub use result::{SystemConfig, SystemResults};
 pub use spec::{
     ActivationSpec, AnalysisMode, BusSpec, CpuSpec, FrameSpec, SignalSpec, SystemSpec, TaskSpec,

@@ -36,11 +36,14 @@ pub struct SystemConfig {
     /// conservative for realistic topologies; raise it for unusually
     /// deep task chains.
     pub divergence_streak: u64,
-    /// Number of analysis threads. `0` (the default) resolves from the
-    /// `HEM_THREADS` environment variable, falling back to `1`
-    /// (sequential). The engine is bit-for-bit deterministic in this
-    /// value: every thread count produces identical results,
-    /// diagnostics, and recorder counters (see `docs/PARALLELISM.md`).
+    /// Width of the fan-out across independent analyses: the packing
+    /// chunks of [`explore`](crate::explore::explore) (and the bench
+    /// sweeps) run on this many threads through
+    /// [`parallel_map`](crate::parallel_map). The analysis engine itself
+    /// is sequential and never reads it. `0` (the default) resolves from
+    /// the `HEM_THREADS` environment variable, falling back to `1`.
+    /// Outcomes are bit-for-bit identical for every value (see
+    /// `docs/PARALLELISM.md`).
     pub threads: usize,
     /// Replace resolved event models with closed-form
     /// [`AnalyticCurve`](hem_event_models::AnalyticCurve) fast paths
@@ -68,8 +71,8 @@ impl SystemConfig {
         }
     }
 
-    /// This configuration using the given number of analysis threads
-    /// (`0` = resolve from `HEM_THREADS`, default `1`).
+    /// This configuration with the given fan-out width (`0` = resolve
+    /// from `HEM_THREADS`, default `1`).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -21,8 +21,7 @@
 //! `min(i, n)` (after its convergence iteration `n` a converged
 //! sub-system repeats itself). Replay therefore preserves results,
 //! convergence traces, iteration counts, stop reasons, and divergence
-//! diagnostics **bit for bit** — the same correctness bar as the
-//! parallel engine's, and enforced at every thread count by the
+//! diagnostics **bit for bit**, enforced by the
 //! `incremental_equivalence` suite. Only *work* counters
 //! (busy-window iterations, curve-cache traffic) shrink; see
 //! `docs/INCREMENTAL.md` for the exact equality contract.
@@ -124,7 +123,7 @@ impl WarmStart {
     }
 
     /// Whether the configuration knobs that shape per-entity results
-    /// match the snapshot's. Thread count and global stop limits
+    /// match the snapshot's. The `threads` setting and global stop limits
     /// (`max_global_iterations`, `divergence_streak`) are deliberately
     /// not compared: they never alter the per-iteration trajectory,
     /// only where a run stops — and replay follows the new run's own
@@ -223,7 +222,7 @@ pub struct IncrementalOutcome {
 /// instead of re-running busy-window analyses, and their shared curve
 /// caches carry over — the returned results, diagnostics, and
 /// convergence traces are **bit-for-bit identical** to a from-scratch
-/// run, at every thread count.
+/// run.
 ///
 /// Reuse is visible in the recorder: `warm_start_hits` (replayed
 /// per-entity analyses), `cone_size` (resources re-analysed), and

@@ -14,7 +14,7 @@
 //!    identical best pick.
 //! 3. **Thread invariance** — the same seed must produce bit-identical
 //!    reports, visit order, best/default indices, and recorder counter
-//!    totals for 1, 2, 4, and 8 analysis threads.
+//!    totals for 1, 2, 4, and 8 threads of candidate fan-out.
 
 use std::collections::BTreeMap;
 

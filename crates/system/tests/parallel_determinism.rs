@@ -1,11 +1,13 @@
-//! Determinism of the parallel analysis engine.
+//! Determinism of the analysis engine across `threads` settings.
 //!
-//! The engine promises bit-for-bit identical outcomes for every thread
-//! count: response times, per-entity statuses, stop reason, convergence
-//! trace, and recorder counter totals. This suite generates random task
-//! graphs — multiple buses, HEM pack/unpack stages, task-output chains,
-//! occasionally overloaded or cyclic — and replays each with 1, 2, 4,
-//! and 8 threads, requiring equality on everything except wall-clock
+//! The engine is sequential; `SystemConfig::threads` only sets the
+//! width of the fan-out across independent analyses. An analysis must
+//! therefore be bit-for-bit identical under every setting: response
+//! times, per-entity statuses, stop reason, convergence trace, and
+//! recorder counter totals. This suite generates random task graphs —
+//! multiple buses, HEM pack/unpack stages, task-output chains,
+//! occasionally overloaded or cyclic — and replays each with `threads`
+//! 1, 2, 4, and 8, requiring equality on everything except wall-clock
 //! observations (`Diagnostics::elapsed`, `span_us/*` histograms).
 
 use std::collections::BTreeMap;
@@ -47,7 +49,7 @@ impl Rng {
 /// periodic sources or task outputs), `cpus` CPUs with 1–3 tasks each
 /// (activated externally, by unpacked signals, by frame arrivals, or by
 /// other tasks' outputs). Task-output sources may close resource-level
-/// cycles; those exercise the engine's sequential fallback.
+/// cycles; those exercise the engine's lazy-resolver fallback.
 fn build_spec(seed: u64, buses: usize, cpus: usize, tight: bool) -> SystemSpec {
     let mut rng = Rng(seed);
     let mut spec = SystemSpec::new();
@@ -351,8 +353,9 @@ fn fig2_shape_system_matches_across_thread_counts() {
     }
 }
 
-/// Cyclic topologies run through the sequential fallback on every
-/// thread count and must report the identical `DependencyCycle`.
+/// Cyclic topologies run through the lazy-resolver fallback under
+/// every `threads` setting and must report the identical
+/// `DependencyCycle`.
 #[test]
 fn cyclic_systems_fail_identically_across_thread_counts() {
     let spec = SystemSpec::new()
